@@ -12,12 +12,29 @@
 //!   --flows         per-flow summary table, worst stalled first
 //!   --stalls        print every stall (time, duration, cause, context)
 //!   --json          machine-readable output (one JSON document)
-//!   --dump          print every packet, tcpdump-style
+//!   --dump          print every packet in capture order, tcpdump-style,
+//!                   tagged with its flow number
 //!   --min-stall MS  only report stalls at least this long
 //!   --mss BYTES     analyzer MSS assumption        (default 1448)
 //!   --dupthres N    analyzer dupack threshold      (default 3)
-//!   --threads N     analysis worker threads (default: all cores; the
-//!                   output is identical at any thread count)
+//!   --threads N     live pipeline shards (default: available cores,
+//!                   capped at 8; the output is identical at any count)
+//! ```
+//!
+//! Offline diagnosis is the live pipeline run to EOF: each capture streams
+//! through [`live::run`] with no idle eviction, no FIN linger and no flow
+//! cap, collecting every flow's analysis, and the captures' flows are
+//! listed in file order (first-seen order within a file). Memory holds the
+//! analyses, not the packets.
+//!
+//! `--dump` streams each capture once more before its analysis and prints
+//! one line per decoded packet, in capture order. The line starts with
+//! `#i`, the flow number `--stalls` and `--flows` use:
+//!
+//! ```text
+//! #0         0.052623  >  S win 65160
+//! #0         0.052623  <  S ack 0 win 65535
+//! #1         0.053817  >  S win 65535
 //! ```
 //!
 //! The live (daemon) mode streams a capture — file, FIFO, or `-` for stdin
@@ -112,20 +129,23 @@
 //!                      stderr, summary/advice as JSON on stderr)
 //! ```
 
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::fs::File;
-use std::io::BufReader;
-use std::path::PathBuf;
+use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use tapo::json::Json;
 use tapo::live::{self, DaemonId, LiveConfig};
 use tapo::sink::{CsvSink, JsonLinesSink, ReportSink};
 use tapo::{
-    analyze_flow, AdviseConfig, AnalyzerConfig, FleetAlert, FleetConfig, FleetInterval,
-    FlowAnalysis, RetransClass, Stall, StallBreakdown, StallCause, StallClass,
+    AdviseConfig, AnalyzerConfig, FleetAlert, FleetConfig, FleetInterval, FlowAnalysis,
+    RetransClass, Stall, StallBreakdown, StallCause, StallClass,
 };
-use tcp_trace::flow::FlowTrace;
-use tcp_trace::pcap::{PcapReader, PcapStats};
+use tcp_trace::flow::{reopens, FlowKey};
+use tcp_trace::pcap::{PcapError, PcapStats, PcapStream, SeqTracker};
+use tcp_trace::text::render_record;
 
 struct Options {
     files: Vec<PathBuf>,
@@ -221,52 +241,102 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut flows: Vec<FlowTrace> = Vec::new();
+    match run_offline(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+/// One flow as the offline report renders it: key, packets, analysis.
+type Flow = (FlowKey, u64, FlowAnalysis);
+
+/// The live configuration offline diagnosis runs under: nothing is evicted
+/// or capped before EOF, so every flow sees all of its packets, and every
+/// analysis is collected.
+fn offline_config(threads: usize, analyzer: AnalyzerConfig) -> LiveConfig {
+    LiveConfig {
+        analyzer,
+        shards: if threads == 0 {
+            live::default_shards()
+        } else {
+            threads
+        },
+        idle_timeout: None,
+        fin_linger: None,
+        max_flows: 0,
+        collect_flows: true,
+        sketch: false,
+        ..LiveConfig::default()
+    }
+}
+
+/// Diagnose each capture in turn and render the flows in file order.
+/// Failures are reported on stderr before their exit code is returned; a
+/// closed stdout ends the run quietly.
+fn run_offline(opts: &Options) -> Result<(), ExitCode> {
+    let cfg = offline_config(opts.threads, opts.cfg);
+    let mut out = BufWriter::new(io::stdout().lock());
+    let mut flows: Vec<Flow> = Vec::new();
     let mut stats = PcapStats::default();
     for path in &opts.files {
-        let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("tapo: cannot open {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match PcapReader::read_all_stats(file) {
-            Ok((mut parsed, s)) => {
-                flows.append(&mut parsed);
-                stats.packets += s.packets;
-                stats.packets_skipped += s.packets_skipped;
-                stats.records_truncated += s.records_truncated;
-            }
-            Err(e) => {
-                eprintln!("tapo: cannot parse {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+        if opts.dump {
+            dump(open(path)?, path, flows.len(), &mut out)?;
         }
+        let summary = live::run(open(path)?, &cfg, |_| {}).map_err(|e| parse_failed(path, e))?;
+        stats.packets += summary.packets;
+        stats.packets_skipped += summary.packets_skipped;
+        stats.records_truncated += summary.records_truncated;
+        flows.extend(summary.flows);
     }
-
-    // Analysis is per-flow independent, so it shards cleanly; results stay
-    // in flow order, so output is identical at any thread count.
-    let threads = if opts.threads == 0 {
-        simnet::par::available_threads()
+    let written = if opts.json {
+        print_json(&mut out, &flows, opts, &stats)
     } else {
-        opts.threads
+        print_text(&mut out, &flows, opts, &stats)
     };
-    let analyses: Vec<FlowAnalysis> =
-        simnet::par::par_map(flows.len(), threads, |i| analyze_flow(&flows[i], opts.cfg));
+    written
+        .and_then(|()| out.flush())
+        .map_err(|_| ExitCode::FAILURE)
+}
 
-    if opts.dump {
-        for (i, flow) in flows.iter().enumerate() {
-            println!("# flow #{i}");
-            print!("{}", tcp_trace::text::render_flow(flow));
+fn open(path: &Path) -> Result<File, ExitCode> {
+    File::open(path).map_err(|e| {
+        eprintln!("tapo: cannot open {}: {e}", path.display());
+        ExitCode::FAILURE
+    })
+}
+
+fn parse_failed(path: &Path, e: PcapError) -> ExitCode {
+    eprintln!("tapo: cannot parse {}: {e}", path.display());
+    ExitCode::FAILURE
+}
+
+/// `--dump` for one capture: every decoded packet in capture order, each
+/// line tagged `#i` with its flow's number in the analysis order. Flows
+/// are numbered from `first` as they are first seen, and a reused 4-tuple
+/// opens a new number by the reader's own rule ([`reopens`]). Memory is
+/// one sequence tracker per 4-tuple.
+fn dump(input: impl Read, path: &Path, first: usize, out: &mut impl Write) -> Result<(), ExitCode> {
+    let mut stream = PcapStream::new(input).map_err(|e| parse_failed(path, e))?;
+    // Per 4-tuple: its current flow number, whether that flow has closed,
+    // and its sequence tracker.
+    let mut flows: HashMap<FlowKey, (usize, bool, SeqTracker)> = HashMap::new();
+    let mut next = first;
+    while let Some(pkt) = stream.next_packet().map_err(|e| parse_failed(path, e))? {
+        let (flow, closed, tracker) = flows.entry(pkt.key).or_insert_with(|| {
+            next += 1;
+            (next - 1, false, SeqTracker::new())
+        });
+        if reopens(*closed, pkt.raw.flags) {
+            (*flow, *closed) = (next, false);
+            next += 1;
+            tracker.reset();
+        }
+        *closed |= pkt.raw.flags.fin || pkt.raw.flags.rst;
+        if let Some(rec) = tracker.translate(pkt.t, &pkt.raw) {
+            writeln!(out, "#{flow:<6} {}", render_record(&rec)).map_err(|_| ExitCode::FAILURE)?;
         }
     }
-    if opts.json {
-        print_json(&flows, &analyses, &opts, &stats);
-    } else {
-        print_text(&flows, &analyses, &opts, &stats);
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn run_advise(mut args: impl Iterator<Item = String>) -> ExitCode {
@@ -627,6 +697,9 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
     // Interval reports stream to stdout through one fixed-shape sink; in
     // CSV mode stdout stays a clean spreadsheet (header up front, even if
     // no interval ever completes) and the JSON summary goes to stderr.
+    // A failed report write (say, stdout piped into `head`) sets
+    // `closed`; the input then reads as EOF, so the pipeline winds down
+    // without reading the rest of the capture.
     let stdout = std::io::stdout();
     let mut sink: Box<dyn ReportSink> = if csv {
         let mut s = CsvSink::new(stdout.lock());
@@ -637,20 +710,30 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
     } else {
         Box::new(JsonLinesSink::new(stdout.lock()))
     };
+    let closed = Cell::new(false);
     let mut emit = |r: &live::IntervalReport| {
-        sink.emit(r).expect("write report to stdout");
+        if !closed.get() && sink.emit(r).is_err() {
+            closed.set(true);
+        }
     };
     let result = if input == "-" {
-        live::run(std::io::stdin().lock(), &cfg, &mut emit)
+        live::run(
+            UntilClosed(std::io::stdin().lock(), &closed),
+            &cfg,
+            &mut emit,
+        )
     } else {
         match File::open(&input) {
-            Ok(f) => live::run(BufReader::new(f), &cfg, &mut emit),
+            Ok(f) => live::run(UntilClosed(BufReader::new(f), &closed), &cfg, &mut emit),
             Err(e) => {
                 eprintln!("tapo live: cannot open {input}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     };
+    if closed.get() {
+        return ExitCode::FAILURE;
+    }
     match result {
         Ok(summary) => {
             let ok = if csv {
@@ -674,11 +757,28 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, stats: &PcapStats) {
+/// A reader that reports EOF once `.1` is set.
+struct UntilClosed<'a, R>(R, &'a Cell<bool>);
+
+impl<R: Read> Read for UntilClosed<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.1.get() {
+            return Ok(0);
+        }
+        self.0.read(buf)
+    }
+}
+
+fn print_text(
+    out: &mut impl Write,
+    flows: &[Flow],
+    opts: &Options,
+    stats: &PcapStats,
+) -> io::Result<()> {
     let mut breakdown = StallBreakdown::default();
     let mut flows_with_stalls = 0usize;
     let mut total_bytes = 0u64;
-    for a in analyses {
+    for (_, _, a) in flows {
         breakdown.add_flow(a);
         if !a.stalls.is_empty() {
             flows_with_stalls += 1;
@@ -686,7 +786,8 @@ fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
         total_bytes += a.metrics.goodput_bytes;
     }
 
-    println!(
+    writeln!(
+        out,
         "{} flows, {:.1} MB served; {} flows ({:.0}%) stalled; {} stalls, {:.1}s stalled in total",
         flows.len(),
         total_bytes as f64 / 1e6,
@@ -694,50 +795,56 @@ fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
         100.0 * flows_with_stalls as f64 / flows.len().max(1) as f64,
         breakdown.total_stalls,
         breakdown.total_stalled.as_secs_f64(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{} packets decoded, {} skipped (non-IPv4/TCP or malformed), {} truncated record(s)",
         stats.packets, stats.packets_skipped, stats.records_truncated,
-    );
+    )?;
 
-    println!("\nstall causes (volume% / time%):");
+    writeln!(out, "\nstall causes (volume% / time%):")?;
     for class in StallClass::ALL {
         let share = breakdown.share(class);
         if share.volume_pct > 0.0 {
-            println!(
+            writeln!(
+                out,
                 "  {:<12} {:>5.1}% / {:>5.1}%",
                 class.label(),
                 share.volume_pct,
                 share.time_pct
-            );
+            )?;
         }
     }
     if breakdown.any_retrans() {
-        println!("\ntimeout-retransmission breakdown (volume% / time% of retrans stalls):");
+        writeln!(
+            out,
+            "\ntimeout-retransmission breakdown (volume% / time% of retrans stalls):"
+        )?;
         for class in RetransClass::ALL {
             let share = breakdown.retrans_share(class);
             if share.volume_pct > 0.0 {
-                println!(
+                writeln!(
+                    out,
                     "  {:<14} {:>5.1}% / {:>5.1}%",
                     class.label(),
                     share.volume_pct,
                     share.time_pct
-                );
+                )?;
             }
         }
     }
 
     if opts.show_flows {
-        println!("\nper-flow summary (worst stalled first):");
-        println!("{}", tapo::FlowSummary::header());
-        for row in tapo::summary::rank_by_stalled(analyses) {
-            println!("{}", row.row());
+        writeln!(out, "\nper-flow summary (worst stalled first):")?;
+        writeln!(out, "{}", tapo::FlowSummary::header())?;
+        for row in tapo::summary::rank_by_stalled(flows.iter().map(|(_, _, a)| a)) {
+            writeln!(out, "{}", row.row())?;
         }
     }
 
     if opts.show_stalls {
-        println!("\nper-flow stall log:");
-        for (i, a) in analyses.iter().enumerate() {
+        writeln!(out, "\nper-flow stall log:")?;
+        for (i, (_, _, a)) in flows.iter().enumerate() {
             let interesting: Vec<_> = a
                 .stalls
                 .iter()
@@ -746,7 +853,8 @@ fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
             if interesting.is_empty() {
                 continue;
             }
-            println!(
+            writeln!(
+                out,
                 "flow #{i}: {} bytes, {:.1}s, {:.0}% stalled{}",
                 a.metrics.goodput_bytes,
                 a.metrics.duration.as_secs_f64(),
@@ -754,19 +862,21 @@ fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
                 a.init_rwnd
                     .map(|w| format!(", init rwnd {w}B"))
                     .unwrap_or_default(),
-            );
+            )?;
             for s in interesting {
-                println!(
+                writeln!(
+                    out,
                     "  {:>10} +{:>9}  {:<40} in_flight={} state={:?}",
                     s.start.to_string(),
                     s.duration.to_string(),
                     cause_str(&s.cause),
                     s.snapshot.in_flight,
                     s.snapshot.ca_state,
-                );
+                )?;
             }
         }
     }
+    Ok(())
 }
 
 fn cause_str(cause: &StallCause) -> String {
@@ -810,25 +920,26 @@ fn stall_json(s: &Stall) -> Json {
     ])
 }
 
-fn print_json(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, stats: &PcapStats) {
-    let flows_json: Vec<Json> = analyses
+fn print_json(
+    out: &mut impl Write,
+    flows: &[Flow],
+    opts: &Options,
+    stats: &PcapStats,
+) -> io::Result<()> {
+    let flows_json: Vec<Json> = flows
         .iter()
-        .zip(flows)
-        .map(|(a, t)| {
+        .map(|(key, packets, a)| {
             Json::obj([
                 (
                     "key",
-                    match t.key {
-                        Some(key) => Json::obj([
-                            ("server", Json::from(ip_str(key.server_ip))),
-                            ("server_port", Json::from(u64::from(key.server_port))),
-                            ("client", Json::from(ip_str(key.client_ip))),
-                            ("client_port", Json::from(u64::from(key.client_port))),
-                        ]),
-                        None => Json::Null,
-                    },
+                    Json::obj([
+                        ("server", Json::from(ip_str(key.server_ip))),
+                        ("server_port", Json::from(u64::from(key.server_port))),
+                        ("client", Json::from(ip_str(key.client_ip))),
+                        ("client_port", Json::from(u64::from(key.client_port))),
+                    ]),
                 ),
-                ("packets", Json::from(t.records.len())),
+                ("packets", Json::from(*packets)),
                 ("bytes", Json::from(a.metrics.goodput_bytes)),
                 ("duration_s", Json::from(a.metrics.duration.as_secs_f64())),
                 ("stall_ratio", Json::from(a.stall_ratio())),
@@ -889,5 +1000,82 @@ fn print_json(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
         ),
         ("flows", Json::Arr(flows_json)),
     ]);
-    println!("{}", doc.pretty());
+    writeln!(out, "{}", doc.pretty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::time::SimTime;
+    use tcp_trace::pcap::PcapWriter;
+    use tcp_trace::record::{Direction, SegFlags, TraceRecord};
+
+    /// Two flows; the first closes and its 4-tuple is reused by a third.
+    fn reuse_capture() -> Vec<u8> {
+        let (a, b) = (FlowKey::synthetic(1), FlowKey::synthetic(2));
+        let t = SimTime::from_millis;
+        let syn = |ms| TraceRecord {
+            flags: SegFlags::SYN,
+            ..TraceRecord::pure_ack(t(ms), Direction::In, 0, 65535)
+        };
+        let fin = TraceRecord {
+            flags: SegFlags {
+                fin: true,
+                ack: true,
+                ..Default::default()
+            },
+            ..TraceRecord::pure_ack(t(30), Direction::Out, 0, 65535)
+        };
+        let pkts = [
+            (a, syn(0)),
+            (b, syn(5)),
+            (
+                a,
+                TraceRecord::data(t(10), Direction::Out, 0, 1448, 0, 65535),
+            ),
+            (
+                b,
+                TraceRecord::data(t(15), Direction::Out, 0, 1448, 0, 65535),
+            ),
+            (a, TraceRecord::pure_ack(t(20), Direction::In, 1448, 65535)),
+            (a, fin),
+            (a, syn(40)),
+            (b, TraceRecord::pure_ack(t(45), Direction::In, 1448, 65535)),
+            (
+                a,
+                TraceRecord::data(t(50), Direction::Out, 0, 100, 0, 65535),
+            ),
+        ];
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for (key, rec) in &pkts {
+            w.write_record(key, rec).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    #[test]
+    fn dump_prints_each_packet_tagged_with_its_analysis_flow_number() {
+        let capture = reuse_capture();
+        let first = 3; // as if an earlier capture held flows #0..#2
+        let mut out = Vec::new();
+        dump(&capture[..], Path::new("reuse.pcap"), first, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let tags: Vec<usize> = text
+            .lines()
+            .map(|l| l[1..].split_whitespace().next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(tags, [3, 4, 3, 4, 3, 3, 5, 4, 5], "one line per packet");
+
+        // Per flow number, the line count is the packet count of the
+        // analysis at that position in the offline report.
+        let cfg = offline_config(2, AnalyzerConfig::default());
+        let summary = live::run(&capture[..], &cfg, |_| {}).unwrap();
+        assert_eq!(tags.len() as u64, summary.packets);
+        let counts: Vec<u64> = (0..summary.flows.len())
+            .map(|i| tags.iter().filter(|&&t| t == first + i).count() as u64)
+            .collect();
+        let packets: Vec<u64> = summary.flows.iter().map(|f| f.1).collect();
+        assert_eq!(counts, packets);
+        assert_eq!(summary.flows[2].0, summary.flows[0].0, "#5 reuses #3's key");
+    }
 }

@@ -76,11 +76,11 @@ pub use config::{
 };
 pub use fnv::{cell_of, FnvHasher, FnvState};
 pub use lru::LruList;
-pub use monitor::{FlowMonitor, LightTable, MonitorSeed, TierConfig, Verdict};
+pub use monitor::{LightTable, MonitorSeed, TierConfig, Verdict};
 pub use report::{class_slug, retrans_slug, IntervalReport, LiveSummary};
 pub use shard::{
-    merge_by_port, shard_worker, EngineParams, EngineTotals, IntervalDelta, PortDelta, ShardEngine,
-    ShardMsg, Work,
+    merge_by_port, shard_worker, CollectedFlow, EngineParams, EngineTotals, IntervalDelta,
+    PortDelta, ShardEngine, ShardMsg, Work,
 };
 pub use wheel::{TimerEntry, TimerWheel};
 
@@ -88,11 +88,10 @@ use std::io::Read;
 use std::sync::mpsc;
 
 use simnet::time::SimDuration;
-use tcp_trace::flow::FlowKey;
 use tcp_trace::pcap::{PacketBatch, PcapError, PcapStream};
 
 use crate::fleet::sketch::QSketch;
-use crate::{AnalyzerConfig, FlowAnalysis};
+use crate::AnalyzerConfig;
 use ring::{RingConsumer, RingProducer};
 
 /// How the live pipeline runs: sharding, lifecycle timeouts, reporting
@@ -121,8 +120,11 @@ pub struct LiveConfig {
     /// per-cell quotas; at a cell's quota, the least-recently-active flow
     /// *of that cell* is finalized early ("shed").
     pub max_flows: usize,
-    /// Keep every finalized [`crate::FlowAnalysis`] in the summary —
-    /// unbounded memory, for tests and offline comparison only.
+    /// Keep every finalized [`crate::FlowAnalysis`] in the summary, with
+    /// its key and packet count. Memory grows with the flow count, so the
+    /// daemon leaves this off; it is the offline `tapo <capture>` mode
+    /// (run to EOF with no eviction, no linger and no cap) and what the
+    /// differential tests compare against the batch reader.
     pub collect_flows: bool,
     /// Include per-shard active-flow counts in reports (shard-count-
     /// dependent, so off by default to keep output byte-identical across
@@ -549,7 +551,7 @@ pub fn run<R: Read>(
         // Shut shards down; collect per-flow analyses (if any) and the
         // whole-run totals, folding both in shard order.
         drv.dir_txs.clear();
-        let mut flows: Vec<(u64, FlowKey, FlowAnalysis)> = Vec::new();
+        let mut flows: Vec<CollectedFlow> = Vec::new();
         let mut totals = EngineTotals::default();
         if let Some(eng) = drv.inline.take() {
             let t = eng.totals();
@@ -563,13 +565,16 @@ pub fn run<R: Read>(
             totals.heavy_hw += t.heavy_hw;
             flows.extend(collected);
         }
-        flows.sort_by_key(|&(uid, _, _)| uid);
+        flows.sort_by_key(|&(uid, ..)| uid);
         let mut summary = drv.summary;
         summary.max_active_flows = totals.active_hw;
         summary.max_heavy_flows = totals.heavy_hw;
         summary.ring_fresh_buffers = drv.ring_fresh.iter().sum();
         summary.ring_recycled_buffers = drv.ring_recycled.iter().sum();
-        summary.flows = flows.into_iter().map(|(_, key, a)| (key, a)).collect();
+        summary.flows = flows
+            .into_iter()
+            .map(|(_, key, pkts, a)| (key, pkts, a))
+            .collect();
         let stats = stream.stats();
         summary.packets_skipped = stats.packets_skipped;
         summary.records_truncated = stats.records_truncated;
@@ -582,7 +587,7 @@ pub fn run<R: Read>(
 mod tests {
     use super::*;
     use simnet::time::SimTime;
-    use tcp_trace::flow::FlowTrace;
+    use tcp_trace::flow::{FlowKey, FlowTrace};
     use tcp_trace::pcap::PcapWriter;
     use tcp_trace::record::{Direction, SackList, SegFlags, TraceRecord};
 
@@ -811,6 +816,8 @@ mod tests {
         assert_eq!(summary.flows.len(), 2);
         assert_eq!(summary.flows[0].0, k);
         assert_eq!(summary.flows[1].0, k);
+        assert_eq!(summary.flows[0].1, 6, "packets split at the reuse");
+        assert_eq!(summary.flows[1].1, 6);
     }
 
     #[test]

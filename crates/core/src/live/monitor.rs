@@ -23,7 +23,7 @@
 
 use tcp_trace::record::{Direction, TraceRecord};
 
-use crate::replay::ReplayConfig;
+use crate::replay::{ReplayConfig, RttCore};
 
 /// Promotion/demotion thresholds for two-tier monitoring.
 ///
@@ -61,29 +61,6 @@ impl Default for TierConfig {
     }
 }
 
-/// Which tier a flow currently occupies — the per-flow monitoring state
-/// machine. Every tracked flow always has a light row; `Heavy` means a
-/// full [`crate::StreamAnalyzer`] is additionally live on a shard.
-///
-/// Transitions (driver-serial, so identical at any shard count):
-/// `Light → Heavy` when a [`LightTable`] heuristic flags suspicion (and the
-/// heavy pool has room), seeding the analyzer with a [`MonitorSeed`];
-/// `Heavy → Light` after [`TierConfig::demote_streak`] event-free packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowMonitor {
-    /// Compact always-on state only; no analyzer allocated.
-    Light,
-    /// Escalated: a recycled heavy analyzer tracks the flow on its shard.
-    Heavy,
-}
-
-impl FlowMonitor {
-    /// True in the heavy (escalated) state.
-    pub fn is_heavy(self) -> bool {
-        matches!(self, FlowMonitor::Heavy)
-    }
-}
-
 /// Light-tier estimates carried into a promoted analyzer so mid-flow
 /// escalation starts from the flow's actual state instead of a cold boot:
 /// the RTT estimate keeps the stall threshold meaningful from the first
@@ -91,12 +68,9 @@ impl FlowMonitor {
 /// segments classify as retransmissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorSeed {
-    /// Smoothed RTT in microseconds; meaningful only when `has_rtt`.
-    pub srtt_us: u32,
-    /// RTT variance in microseconds; meaningful only when `has_rtt`.
-    pub rttvar_us: u32,
-    /// Whether the single-probe estimator has produced a sample yet.
-    pub has_rtt: bool,
+    /// The single-probe RTT estimate, handed over as-is: the heavy replay
+    /// runs the same [`RttCore`], so promotion continues it exactly.
+    pub rtt: RttCore,
     /// Highest cumulative ACK seen from the client.
     pub snd_una: u64,
     /// Highest stream offset sent by the server.
@@ -125,19 +99,10 @@ pub struct Verdict {
 /// Packed per-flow event flags (one byte per flow).
 mod flag {
     pub const ESTABLISHED: u8 = 1 << 0;
-    pub const HAS_RTT: u8 = 1 << 1;
-    pub const PROBE_ARMED: u8 = 1 << 2;
-    pub const INIT_RWND: u8 = 1 << 3;
-    pub const ZERO_WND: u8 = 1 << 4;
-    pub const HAS_LAST_T: u8 = 1 << 5;
-}
-
-/// RTO clamps shared by every row (copied out of the replay config once).
-#[derive(Debug, Clone, Copy, Default)]
-struct RtoClamps {
-    min_us: u32,
-    max_us: u32,
-    initial_us: u32,
+    pub const PROBE_ARMED: u8 = 1 << 1;
+    pub const INIT_RWND: u8 = 1 << 2;
+    pub const ZERO_WND: u8 = 1 << 3;
+    pub const HAS_LAST_T: u8 = 1 << 4;
 }
 
 /// One flow's complete light-tier state, packed into a single small struct
@@ -152,8 +117,7 @@ struct LightRow {
     probe_end: u64,
     probe_t_us: u64,
     last_t_us: u64,
-    srtt_us: u32,
-    rttvar_us: u32,
+    rtt: RttCore,
     last_rwnd: u32,
     init_rwnd: u32,
     calm_streak: u32,
@@ -161,48 +125,6 @@ struct LightRow {
     retrans: u16,
     stall_strikes: u16,
     flags: u8,
-}
-
-impl LightRow {
-    fn rto_us(&self, c: RtoClamps) -> u32 {
-        if self.flags & flag::HAS_RTT == 0 {
-            return c.initial_us;
-        }
-        let var4 = self.rttvar_us.saturating_mul(4).max(c.min_us);
-        self.srtt_us.saturating_add(var4).min(c.max_us)
-    }
-
-    /// The light stall threshold, mirroring `Replay::stall_threshold`:
-    /// `min(2·SRTT, RTO)`, or the initial RTO before any RTT sample.
-    fn stall_threshold_us(&self, c: RtoClamps) -> u64 {
-        if self.flags & flag::HAS_RTT == 0 {
-            return c.initial_us as u64;
-        }
-        let twice = self.srtt_us.saturating_mul(2);
-        twice.min(self.rto_us(c)) as u64
-    }
-
-    fn observe_rtt(&mut self, rtt_us: u64) {
-        let rtt = rtt_us.min(u32::MAX as u64) as u32;
-        if self.flags & flag::HAS_RTT == 0 {
-            self.flags |= flag::HAS_RTT;
-            self.srtt_us = rtt;
-            self.rttvar_us = rtt / 2;
-        } else {
-            // RFC 6298 gains in the same rounding order as the heavy
-            // tier's `RttEstimator`: multiply *then* divide. The earlier
-            // `(x/4)*3` / `(x/8)*7` form discards the remainder before
-            // scaling, which biases every update low (up to 6µs on SRTT)
-            // and drifts the light RTO below the heavy one over a flow's
-            // lifetime. 64-bit intermediates: `srtt_us * 7` can overflow
-            // `u32`.
-            let err = self.srtt_us.abs_diff(rtt);
-            let rttvar = (self.rttvar_us as u64 * 3) / 4 + (err / 4) as u64;
-            let srtt = (self.srtt_us as u64 * 7) / 8 + (rtt / 8) as u64;
-            self.rttvar_us = rttvar.min(u32::MAX as u64) as u32;
-            self.srtt_us = srtt.min(u32::MAX as u64) as u32;
-        }
-    }
 }
 
 /// The light tier itself: a flat row table indexed by the driver's slot
@@ -213,7 +135,8 @@ impl LightRow {
 /// grows its slot table, i.e. at the concurrent-flow high-water mark).
 #[derive(Debug, Default)]
 pub struct LightTable {
-    clamps: RtoClamps,
+    /// Source of the RTO clamps for every row's estimator.
+    cfg: ReplayConfig,
     rows: Vec<LightRow>,
 }
 
@@ -222,16 +145,11 @@ impl LightTable {
     /// asserted small by the unit tests — "tens of bytes per flow").
     pub const BYTES_PER_FLOW: usize = std::mem::size_of::<LightRow>();
 
-    /// A table deriving its RTO clamps from the analyzer's replay config,
-    /// so the light stall threshold approximates the heavy one.
+    /// A table taking its RTO clamps from the analyzer's replay config,
+    /// so the light stall threshold is computed exactly as the heavy one.
     pub fn new(cfg: ReplayConfig) -> Self {
-        let us = |d: simnet::time::SimDuration| d.as_micros().min(u32::MAX as u64) as u32;
         LightTable {
-            clamps: RtoClamps {
-                min_us: us(cfg.min_rto),
-                max_us: us(cfg.max_rto),
-                initial_us: us(cfg.initial_rto),
-            },
+            cfg,
             rows: Vec::new(),
         }
     }
@@ -260,11 +178,6 @@ impl LightTable {
         r.flags &= !flag::ZERO_WND;
     }
 
-    #[cfg(test)]
-    fn stall_threshold_us(&self, i: usize) -> u64 {
-        self.rows[i].stall_threshold_us(self.clamps)
-    }
-
     /// Fold one translated record into slot `slot`'s row and report whether
     /// a promotion heuristic fired. `t_us` is the capture timestamp.
     pub fn update(
@@ -274,7 +187,6 @@ impl LightTable {
         t_us: u64,
         tier: &TierConfig,
     ) -> Verdict {
-        let clamps = self.clamps;
         let r = &mut self.rows[slot as usize];
         let mut event = false;
         let mut suspicious = false;
@@ -286,7 +198,7 @@ impl LightTable {
             && r.snd_nxt > r.snd_una
         {
             let gap = t_us.saturating_sub(r.last_t_us);
-            if gap > r.stall_threshold_us(clamps) {
+            if gap > r.rtt.stall_threshold_us(&self.cfg) {
                 r.stall_strikes = r.stall_strikes.saturating_add(1);
                 event = true;
                 if u32::from(r.stall_strikes) >= tier.promote_stalls {
@@ -327,7 +239,7 @@ impl LightTable {
                     if r.flags & flag::PROBE_ARMED != 0 && rec.ack >= r.probe_end {
                         r.flags &= !flag::PROBE_ARMED;
                         let sample = t_us.saturating_sub(r.probe_t_us);
-                        r.observe_rtt(sample);
+                        r.rtt.observe(sample);
                     }
                 } else if rec.ack == r.snd_una
                     && !rec.has_data()
@@ -374,9 +286,7 @@ impl LightTable {
     pub fn seed(&self, slot: u32) -> MonitorSeed {
         let r = &self.rows[slot as usize];
         MonitorSeed {
-            srtt_us: r.srtt_us,
-            rttvar_us: r.rttvar_us,
-            has_rtt: r.flags & flag::HAS_RTT != 0,
+            rtt: r.rtt,
             snd_una: r.snd_una,
             snd_nxt: r.snd_nxt,
             last_rwnd: r.last_rwnd as u64,
@@ -420,12 +330,13 @@ mod tests {
 
     #[test]
     fn light_estimator_matches_tcp_reference_exactly() {
-        // Differential pin against the heavy stack's RFC 6298 estimator
-        // (`tcp_sim::rtt::RttEstimator`, Linux `__tcp_set_rto` semantics):
-        // identical samples must yield identical SRTT/RTTVAR/RTO at every
-        // step. Odd microsecond values exercise the integer-rounding order
-        // — `(x/8)*7`-style updates (the pre-fix form) diverge within a
-        // few samples.
+        // Differential pin of the shared estimator (`RttCore`, run by both
+        // the light rows and the heavy replay) against the simulator's
+        // independent RFC 6298 estimator (`tcp_sim::rtt::RttEstimator`,
+        // Linux `__tcp_set_rto` semantics): identical samples must yield
+        // identical SRTT/RTO at every step. Odd microsecond values
+        // exercise the integer-rounding order — `(x/8)*7`-style updates
+        // diverge within a few samples.
         use simnet::time::SimDuration;
         let rcfg = ReplayConfig::default();
         let mut reference = tcp_sim::rtt::RttEstimator::new(tcp_sim::rtt::RttConfig {
@@ -433,9 +344,8 @@ mod tests {
             max_rto: rcfg.max_rto,
             initial_rto: rcfg.initial_rto,
         });
-        let clamps = LightTable::new(rcfg).clamps;
-        let mut row = LightRow::default();
-        assert_eq!(row.rto_us(clamps) as u64, reference.rto().as_micros());
+        let mut core = RttCore::default();
+        assert_eq!(core.rto_us(&rcfg), reference.rto().as_micros());
         let mut sample = 100_003u64; // odd on purpose
         for step in 0..64 {
             // A jittery walk with spikes — every remainder class gets hit.
@@ -444,15 +354,15 @@ mod tests {
             } else {
                 sample / 2 + 40_001 + step * 137
             };
-            row.observe_rtt(sample);
+            core.observe(sample);
             reference.observe(SimDuration::from_micros(sample));
             assert_eq!(
-                row.srtt_us as u64,
-                reference.srtt().unwrap().as_micros(),
+                core.srtt_us(),
+                reference.srtt().map(|d| d.as_micros()),
                 "srtt diverged at step {step}"
             );
             assert_eq!(
-                row.rto_us(clamps) as u64,
+                core.rto_us(&rcfg),
                 reference.rto().as_micros(),
                 "rto diverged at step {step}"
             );
@@ -462,8 +372,10 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn row_fits_in_tens_of_bytes() {
+        // 72 bytes before the RTT estimator became a shared type; the
+        // shared core must not grow the row.
         assert!(
-            LightTable::BYTES_PER_FLOW <= 96,
+            LightTable::BYTES_PER_FLOW <= 72,
             "light row grew to {} bytes",
             LightTable::BYTES_PER_FLOW
         );
@@ -476,11 +388,13 @@ mod tests {
         upd(&mut t, &out_data(0, 0, 1000), &cfg);
         upd(&mut t, &in_ack(50, 1000), &cfg); // 50 ms sample
         let seed = t.seed(0);
-        assert!(seed.has_rtt);
-        assert_eq!(seed.srtt_us, 50_000);
-        assert_eq!(seed.rttvar_us, 25_000);
+        assert_eq!(seed.rtt.srtt_us(), Some(50_000));
+        assert_eq!(seed.rtt.rttvar_us(), 25_000);
         // Threshold = min(2·srtt, srtt + max(4·var, min_rto)) = 100 ms.
-        assert_eq!(t.stall_threshold_us(0), 100_000);
+        assert_eq!(
+            seed.rtt.stall_threshold_us(&ReplayConfig::default()),
+            100_000
+        );
     }
 
     #[test]
@@ -579,7 +493,7 @@ mod tests {
         upd(&mut t, &in_ack(50, 1000), &cfg);
         t.init(0); // driver reuses the slot for a new flow
         let seed = t.seed(0);
-        assert!(!seed.has_rtt);
+        assert_eq!(seed.rtt, RttCore::default());
         assert_eq!(seed.snd_nxt, 0);
         assert!(!seed.established);
         assert_eq!(t.rows[0].calm_streak, 0);

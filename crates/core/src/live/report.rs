@@ -332,9 +332,10 @@ pub struct LiveSummary {
     pub rtt_sketch: Option<QSketch>,
     /// Whole-run stall-duration sketch, same gating.
     pub stall_sketch: Option<QSketch>,
-    /// Per-flow analyses in open order — populated only under
-    /// `collect_flows` (unbounded memory; tests and offline comparison).
-    pub flows: Vec<(FlowKey, FlowAnalysis)>,
+    /// Per-flow `(key, packets, analysis)` in open order — populated only
+    /// under `collect_flows` (the offline CLI's mode; memory grows with
+    /// the flow count).
+    pub flows: Vec<(FlowKey, u64, FlowAnalysis)>,
     /// Total stalled time convenience mirror of the breakdown.
     pub stalled: SimDuration,
 }

@@ -35,7 +35,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
 
-use tcp_trace::flow::FlowKey;
+use tcp_trace::flow::{reopens, FlowKey};
 use tcp_trace::pcap::{PcapPacket, SeqTracker};
 
 use crate::fleet::sketch::QSketch;
@@ -215,6 +215,10 @@ pub struct ShardMsg {
     pub heavy: u64,
 }
 
+/// One finalized flow kept under `collect`: its uid (first-packet capture
+/// index), key, translated-packet count and analysis.
+pub type CollectedFlow = (u64, FlowKey, u64, FlowAnalysis);
+
 /// Whole-run totals an engine reports when it shuts down.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EngineTotals {
@@ -262,7 +266,8 @@ fn cell_quota(total: usize, ncells: usize, cell: usize) -> u32 {
 pub struct EngineParams {
     /// Per-flow analyzer parameters.
     pub analyzer: AnalyzerConfig,
-    /// Keep finalized analyses for collection (unbounded memory; tests).
+    /// Keep finalized analyses for collection (memory grows with the
+    /// flow count; the offline CLI and the differential tests).
     pub collect: bool,
     /// `Some` enables two-tier monitoring with these thresholds.
     pub tier: Option<TierConfig>,
@@ -290,6 +295,8 @@ struct EngineFlow {
     /// cells (`cell / shards`).
     lane: u32,
     tracker: SeqTracker,
+    /// Records delivered to this flow (the offline per-flow packet count).
+    pkts: u64,
     closed: bool,
     /// Analyzer-pool index when heavy; [`NONE`] when light.
     heavy_idx: u32,
@@ -344,7 +351,7 @@ pub struct ShardEngine {
     pool_free: Vec<u32>,
 
     delta: IntervalDelta,
-    collected: Vec<(u64, FlowKey, FlowAnalysis)>,
+    collected: Vec<CollectedFlow>,
 }
 
 impl ShardEngine {
@@ -502,6 +509,7 @@ impl ShardEngine {
             uid: gidx,
             lane,
             tracker,
+            pkts: 0,
             closed: false,
             heavy_idx: NONE,
             deadline_us: u64::MAX,
@@ -528,6 +536,7 @@ impl ShardEngine {
         let closed = flow.closed;
         let heavy_idx = flow.heavy_idx;
         if let Some(rec) = rec {
+            flow.pkts += 1;
             match self.tier {
                 // Always-heavy: the legacy path, zero light-tier overhead.
                 None => {
@@ -630,7 +639,8 @@ impl ShardEngine {
                 .map(|s| s.duration.as_micros())
                 .sum::<u64>();
             if self.collect {
-                self.collected.push((flow.uid, flow.key, analysis));
+                self.collected
+                    .push((flow.uid, flow.key, flow.pkts, analysis));
             }
             self.pool_free.push(idx);
             self.lane_heavy[flow.lane as usize] -= 1;
@@ -735,11 +745,10 @@ impl ShardEngine {
         // so admission sees the same occupancy at any shard count.
         self.run_timers(t_us);
         self.delta.packets += 1;
-        let bare_syn = pkt.raw.flags.syn && !pkt.raw.flags.ack;
         match self.map.get(&pkt.key).copied() {
             Some(slot) => {
                 let closed = self.slots[slot as usize].as_ref().expect("occupied").closed;
-                if closed && bare_syn {
+                if reopens(closed, pkt.raw.flags) {
                     // 4-tuple reuse: finalize the dead generation, start
                     // fresh (mirrors the offline FlowTable rotation).
                     self.finalize(slot, t_us, Reason::Displaced);
@@ -749,7 +758,9 @@ impl ShardEngine {
                 }
             }
             None => match self.dead.get(&pkt.key).copied() {
-                Some(expiry) if expiry > t_us && !bare_syn => {
+                // An evicted key counts as closed: only a reopening SYN
+                // may start a new flow on it before the TTL runs out.
+                Some(expiry) if expiry > t_us && !reopens(true, pkt.raw.flags) => {
                     // Straggler on an evicted flow: drop, count.
                     self.delta.packets_late += 1;
                 }
@@ -800,9 +811,9 @@ impl ShardEngine {
         }
     }
 
-    /// Tear down, yielding the collected per-flow analyses (empty unless
-    /// constructed with `collect`), uid-tagged and key-tagged.
-    pub fn into_collected(self) -> Vec<(u64, FlowKey, FlowAnalysis)> {
+    /// Tear down, yielding the collected flows (empty unless constructed
+    /// with `collect`).
+    pub fn into_collected(self) -> Vec<CollectedFlow> {
         self.collected
     }
 }
@@ -816,7 +827,7 @@ pub fn shard_worker(
     mut rx: RingConsumer<Vec<Work>>,
     mut spare: RingProducer<Vec<Work>>,
     tx: Sender<ShardMsg>,
-) -> (Vec<(u64, FlowKey, FlowAnalysis)>, EngineTotals) {
+) -> (Vec<CollectedFlow>, EngineTotals) {
     let shard = params.shard;
     let mut eng = ShardEngine::new(params);
     while let Some(mut batch) = rx.pop() {

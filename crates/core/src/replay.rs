@@ -52,46 +52,69 @@ impl Default for ReplayConfig {
     }
 }
 
-/// RFC 6298 estimator (the analyzer's independent copy).
-#[derive(Debug, Clone)]
-struct MiniRtt {
-    cfg: ReplayConfig,
-    srtt: Option<SimDuration>,
-    rttvar: SimDuration,
+/// The integer RFC 6298 estimator both TAPO tiers share: the heavy
+/// [`Replay`] and every light-tier row of [`crate::live::LightTable`].
+/// Promotion hands it over by value in [`crate::live::MonitorSeed`], so a
+/// seeded analyzer continues from exactly the light tier's estimate.
+///
+/// SRTT and RTTVAR are stored as `u32` microseconds, keeping a light row
+/// small; updates use `u64` intermediates, so a sample above `u32::MAX`
+/// µs (about 71.6 minutes) saturates there. Gains and rounding order
+/// match the simulator's `tcp_sim::rtt::RttEstimator` (multiply, then
+/// divide), which stays a separate implementation so the analyzer remains
+/// an independent observer. The RTO clamps come from the caller's
+/// [`ReplayConfig`]; the estimator itself carries no configuration.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RttCore {
+    srtt_us: u32,
+    rttvar_us: u32,
+    sampled: bool,
 }
 
-impl MiniRtt {
-    fn new(cfg: ReplayConfig) -> Self {
-        MiniRtt {
-            cfg,
-            srtt: None,
-            rttvar: SimDuration::ZERO,
+impl RttCore {
+    /// Fold in one RTT sample (µs).
+    pub fn observe(&mut self, rtt_us: u64) {
+        let sat = |v: u64| v.min(u64::from(u32::MAX)) as u32;
+        let rtt = sat(rtt_us);
+        if !self.sampled {
+            self.sampled = true;
+            self.srtt_us = rtt;
+            self.rttvar_us = rtt / 2;
+        } else {
+            let err = u64::from(self.srtt_us.abs_diff(rtt));
+            self.rttvar_us = sat(u64::from(self.rttvar_us) * 3 / 4 + err / 4);
+            self.srtt_us = sat(u64::from(self.srtt_us) * 7 / 8 + u64::from(rtt) / 8);
         }
     }
-    fn observe(&mut self, rtt: SimDuration) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(rtt);
-                self.rttvar = rtt / 2;
+
+    /// Smoothed RTT (µs), once a sample has been observed.
+    pub fn srtt_us(&self) -> Option<u64> {
+        self.sampled.then_some(u64::from(self.srtt_us))
+    }
+
+    /// RTT variance (µs); 0 before the first sample.
+    pub fn rttvar_us(&self) -> u64 {
+        u64::from(self.rttvar_us)
+    }
+
+    /// Retransmission timeout (µs) with Linux `__tcp_set_rto` semantics:
+    /// the floor applies to the 4·RTTVAR term, not the sum; the initial
+    /// RTO before any sample.
+    pub fn rto_us(&self, cfg: &ReplayConfig) -> u64 {
+        match self.srtt_us() {
+            None => cfg.initial_rto.as_micros(),
+            Some(s) => {
+                let var4 = (self.rttvar_us() * 4).max(cfg.min_rto.as_micros());
+                (s + var4).min(cfg.max_rto.as_micros())
             }
-            Some(srtt) => {
-                let err = if srtt > rtt { srtt - rtt } else { rtt - srtt };
-                self.rttvar = (self.rttvar * 3) / 4 + err / 4;
-                self.srtt = Some((srtt * 7) / 8 + rtt / 8);
-            }
         }
     }
-    fn rto(&self) -> SimDuration {
-        // Linux `__tcp_set_rto` semantics, mirroring the sender-side
-        // estimator: the floor applies to the 4·RTTVAR term, not the sum.
-        match self.srtt {
-            None => self.cfg.initial_rto,
-            Some(s) => (s + (self.rttvar * 4).max(self.cfg.min_rto)).min(self.cfg.max_rto),
-        }
-    }
-    fn seed(&mut self, srtt: SimDuration, rttvar: SimDuration) {
-        self.srtt = Some(srtt);
-        self.rttvar = rttvar;
+
+    /// The stall threshold `min(2·SRTT, RTO)` (µs); the RTO alone before
+    /// the first sample.
+    pub fn stall_threshold_us(&self, cfg: &ReplayConfig) -> u64 {
+        let rto = self.rto_us(cfg);
+        self.srtt_us().map_or(rto, |s| (2 * s).min(rto))
     }
 }
 
@@ -362,7 +385,7 @@ pub struct Replay {
     dupacks: u32,
     ca_state: EstCaState,
     high_seq: u64,
-    rtt: MiniRtt,
+    rtt: RttCore,
     last_rwnd: u64,
     /// Initial receive window from the client's SYN, if captured.
     pub init_rwnd: Option<u64>,
@@ -403,7 +426,7 @@ impl Replay {
             dupacks: 0,
             ca_state: EstCaState::Open,
             high_seq: 0,
-            rtt: MiniRtt::new(cfg),
+            rtt: RttCore::default(),
             last_rwnd: 0,
             init_rwnd: None,
             established: false,
@@ -436,7 +459,7 @@ impl Replay {
         self.dupacks = 0;
         self.ca_state = EstCaState::Open;
         self.high_seq = 0;
-        self.rtt = MiniRtt::new(cfg);
+        self.rtt = RttCore::default();
         self.last_rwnd = 0;
         self.init_rwnd = None;
         self.established = false;
@@ -467,12 +490,7 @@ impl Replay {
         self.init_rwnd = seed.init_rwnd;
         self.established = seed.established;
         self.zero_rwnd_seen = seed.zero_rwnd_seen;
-        if seed.has_rtt {
-            self.rtt.seed(
-                SimDuration::from_micros(seed.srtt_us as u64),
-                SimDuration::from_micros(seed.rttvar_us as u64),
-            );
-        }
+        self.rtt = seed.rtt;
     }
 
     // ------------------------------------------------------- observation
@@ -494,21 +512,18 @@ impl Replay {
 
     /// Smoothed RTT estimate, if any sample exists.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt
+        self.rtt.srtt_us().map(SimDuration::from_micros)
     }
 
     /// Current RTO estimate.
     pub fn rto(&self) -> SimDuration {
-        self.rtt.rto()
+        SimDuration::from_micros(self.rtt.rto_us(&self.cfg))
     }
 
     /// The stall threshold `min(τ·SRTT, RTO)` with τ = 2 (the paper's
     /// definition); just the RTO before the first sample.
     pub fn stall_threshold(&self) -> SimDuration {
-        match self.rtt.srtt {
-            Some(s) => s.saturating_mul(2).min(self.rtt.rto()),
-            None => self.rtt.rto(),
-        }
+        SimDuration::from_micros(self.rtt.stall_threshold_us(&self.cfg))
     }
 
     /// Equation 1.
@@ -561,7 +576,7 @@ impl Replay {
             if let (Direction::In, Some(sa)) = (rec.dir, self.synack_at.take()) {
                 let sample = rec.t.saturating_since(sa);
                 if !sample.is_zero() {
-                    self.rtt.observe(sample);
+                    self.rtt.observe(sample.as_micros());
                 }
             }
             // The SYN's 16-bit window field is unscaled and clamps at 64KB;
@@ -680,8 +695,7 @@ impl Replay {
                     // The *observed* RTO: how long the sender actually
                     // waited since this segment's previous transmission
                     // (includes exponential backoff, as in Fig. 1).
-                    self.rto_samples
-                        .push(waited.unwrap_or_else(|| self.rtt.rto()));
+                    self.rto_samples.push(waited.unwrap_or_else(|| self.rto()));
                     self.ca_state = EstCaState::Loss;
                     self.high_seq = self.snd_nxt;
                     self.dupacks = 0;
@@ -803,7 +817,7 @@ impl Replay {
                 }
             });
             if let Some(s) = rtt_sample {
-                self.rtt.observe(s);
+                self.rtt.observe(s.as_micros());
                 self.rtt_samples.push(s);
             }
             self.snd_una = rec.ack;

@@ -331,10 +331,11 @@ mod tests {
         // with data in flight is a stall. A cold (unseeded) analyzer has
         // no sample yet and falls back to the 1 s initial RTO — the same
         // gap passes unnoticed there.
+        // One 50 ms sample: SRTT 50 ms, RTTVAR 25 ms.
+        let mut rtt = crate::replay::RttCore::default();
+        rtt.observe(50_000);
         let seed = crate::live::MonitorSeed {
-            srtt_us: 50_000,
-            rttvar_us: 25_000,
-            has_rtt: true,
+            rtt,
             snd_una: 1000,
             snd_nxt: 2000,
             last_rwnd: 1 << 20,

@@ -95,9 +95,11 @@ impl FlowSummary {
 }
 
 /// Summarize a whole set and rank by stalled time, worst first.
-pub fn rank_by_stalled(analyses: &[FlowAnalysis]) -> Vec<FlowSummary> {
+pub fn rank_by_stalled<'a>(
+    analyses: impl IntoIterator<Item = &'a FlowAnalysis>,
+) -> Vec<FlowSummary> {
     let mut rows: Vec<FlowSummary> = analyses
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, a)| FlowSummary::from_analysis(i, a))
         .collect();

@@ -4,22 +4,23 @@
 //! across shard-owned engines.
 //!
 //! The pipeline is configured for offline-equivalence (no idle eviction,
-//! no FIN linger, no cap — every flow sees all of its packets), so each
-//! collected per-flow [`FlowAnalysis`] must be *equal* to running
-//! [`analyze_flow`] on the offline-demultiplexed trace of the same key, at
-//! 1 shard and at 4 shards alike. Further scenarios turn the knobs back
+//! no FIN linger, no cap — every flow sees all of its packets), the mode
+//! offline `tapo <capture>` runs in, so the ordered list of collected
+//! `(key, packets, analysis)` must be *equal* to the batch reader's
+//! flows in `FlowTable` order, each run through [`analyze_flow`], at 1
+//! shard and at 4 shards alike — on an interleaved capture, on one that
+//! reuses a 4-tuple, and on one cut off mid-record. Further scenarios turn the knobs back
 //! on (cap + shedding + promotion) and check the rendered report lines
 //! byte-for-byte across the full shards {1,2,4} × batch {1,256} matrix,
 //! and that the aggregated per-shard summary counters match the inline
 //! single-shard path exactly.
 
-use std::collections::HashMap;
-
-use simnet::time::SimDuration;
+use simnet::time::{SimDuration, SimTime};
 use tapo::live::{self, LiveConfig, TierConfig};
 use tapo::{analyze_flow, AnalyzerConfig, FlowAnalysis};
 use tcp_trace::flow::FlowKey;
-use tcp_trace::pcap::PcapReader;
+use tcp_trace::pcap::{PcapReader, PcapStats, PcapWriter};
+use tcp_trace::record::{Direction, SackList, SegFlags, TraceRecord};
 use workloads::{generate_interleaved, LiveGenSpec};
 
 fn interleaved_capture() -> Vec<u8> {
@@ -35,20 +36,88 @@ fn interleaved_capture() -> Vec<u8> {
     buf
 }
 
+/// A handshake-to-FIN exchange on `key` starting at `t0_ms`, as
+/// `(key, record)` pairs.
+fn short_flow(key: FlowKey, t0_ms: u64) -> Vec<(FlowKey, TraceRecord)> {
+    let rec = |t_ms: u64, dir, seq, len, ack, flags| TraceRecord {
+        t: SimTime::from_millis(t0_ms + t_ms),
+        dir,
+        seq,
+        len,
+        flags,
+        ack,
+        rwnd: 1 << 20,
+        sack: SackList::new(),
+        dsack: false,
+    };
+    let fin = SegFlags {
+        fin: true,
+        ack: true,
+        ..Default::default()
+    };
+    [
+        rec(0, Direction::In, 0, 0, 0, SegFlags::SYN),
+        rec(1, Direction::Out, 0, 0, 0, SegFlags::SYN_ACK),
+        rec(2, Direction::In, 0, 300, 0, SegFlags::ACK),
+        rec(10, Direction::Out, 0, 1448, 300, SegFlags::ACK),
+        // A 600 ms gap before the client's ACK: a stall to classify.
+        rec(610, Direction::In, 0, 0, 1448, SegFlags::ACK),
+        rec(611, Direction::Out, 1448, 0, 300, fin),
+        rec(612, Direction::In, 300, 0, 1449, fin),
+    ]
+    .into_iter()
+    .map(|r| (key, r))
+    .collect()
+}
+
+/// One 4-tuple used twice — FIN, a post-close straggler ACK, then a bare
+/// SYN that must open a second flow — interleaved with two other flows.
+fn reuse_capture() -> Vec<u8> {
+    let k = FlowKey::synthetic(7);
+    let mut pkts = short_flow(k, 0);
+    let straggler = TraceRecord {
+        t: SimTime::from_millis(650),
+        ..pkts[4].1
+    };
+    pkts.push((k, straggler));
+    pkts.extend(short_flow(FlowKey::synthetic(8), 5));
+    pkts.extend(short_flow(k, 700));
+    pkts.extend(short_flow(FlowKey::synthetic(9), 705));
+    pkts.sort_by_key(|(_, r)| r.t);
+    let mut buf = Vec::new();
+    let mut w = PcapWriter::new(&mut buf).expect("in-memory writer");
+    for (key, r) in &pkts {
+        w.write_record(key, r).expect("in-memory writer");
+    }
+    w.finish().expect("in-memory writer");
+    buf
+}
+
+/// The interleaved capture with its last record cut short.
+fn truncated_capture() -> Vec<u8> {
+    let mut c = interleaved_capture();
+    c.truncate(c.len() - 7);
+    c
+}
+
 /// Offline ground truth: demultiplex with the batch reader and analyze
-/// each flow independently.
-fn offline_analyses(capture: &[u8], cfg: AnalyzerConfig) -> HashMap<FlowKey, FlowAnalysis> {
+/// each flow independently, in `FlowTable` (first-seen) order.
+fn offline_flows(
+    capture: &[u8],
+    cfg: AnalyzerConfig,
+) -> (Vec<(FlowKey, u64, FlowAnalysis)>, PcapStats) {
     let (flows, stats) = PcapReader::read_all_stats(capture).expect("valid capture");
-    assert_eq!(stats.packets_skipped, 0);
-    flows
+    let flows = flows
         .iter()
         .map(|t| {
             (
-                t.key.expect("synthetic flows are keyed"),
+                t.key.expect("pcap flows are keyed"),
+                t.records.len() as u64,
                 analyze_flow(t, cfg),
             )
         })
-        .collect()
+        .collect();
+    (flows, stats)
 }
 
 fn equivalence_config(shards: usize) -> LiveConfig {
@@ -60,41 +129,54 @@ fn equivalence_config(shards: usize) -> LiveConfig {
         fin_linger: None,
         max_flows: 0,
         collect_flows: true,
+        sketch: false,
         ..Default::default()
     }
 }
 
 #[test]
 fn live_matches_offline_per_flow_at_1_and_4_shards() {
-    let capture = interleaved_capture();
     let cfg = AnalyzerConfig::default();
-    let offline = offline_analyses(&capture, cfg);
-    assert_eq!(offline.len(), 15, "every flow has a unique synthetic key");
+    let inputs = [
+        ("interleaved", interleaved_capture(), 15, 0),
+        ("4-tuple reuse", reuse_capture(), 4, 0),
+        ("truncated tail", truncated_capture(), 15, 1),
+    ];
+    for (name, capture, n_flows, truncated) in inputs {
+        let (offline, stats) = offline_flows(&capture, cfg);
+        assert_eq!(offline.len(), n_flows, "{name}: offline flow count");
+        assert_eq!(stats.packets_skipped, 0, "{name}");
+        assert_eq!(stats.records_truncated, truncated, "{name}");
+        if name == "4-tuple reuse" {
+            assert_eq!(offline[0].0, offline[2].0, "the reused key opens flow #2");
+            assert_eq!(offline[0].1, 8, "the straggler stays with the closed flow");
+        }
 
-    for shards in [1usize, 4] {
-        let summary = live::run(&capture[..], &equivalence_config(shards), |_| {})
-            .expect("live run succeeds");
-        assert_eq!(
-            summary.flows.len(),
-            offline.len(),
-            "{shards} shards: live tracked a different flow set"
-        );
-        for (key, live_analysis) in &summary.flows {
-            let expected = offline
-                .get(key)
-                .unwrap_or_else(|| panic!("{shards} shards: live invented flow {key:?}"));
+        for shards in [1usize, 4] {
+            let summary = live::run(&capture[..], &equivalence_config(shards), |_| {})
+                .expect("live run succeeds");
             assert_eq!(
-                live_analysis, expected,
-                "{shards} shards: flow {key:?} diverged from offline analysis"
+                summary.flows.len(),
+                offline.len(),
+                "{name}, {shards} shards: live tracked a different flow set"
             );
+            for (i, (live_flow, expected)) in summary.flows.iter().zip(&offline).enumerate() {
+                assert_eq!(
+                    live_flow, expected,
+                    "{name}, {shards} shards: flow #{i} diverged from the offline reference"
+                );
+            }
+            assert_eq!(summary.packets, stats.packets, "{name}, {shards} shards");
+            assert_eq!(summary.packets_skipped, stats.packets_skipped);
+            assert_eq!(summary.records_truncated, stats.records_truncated);
+            // The aggregate mirrors the per-flow equality.
+            let mut offline_breakdown = tapo::StallBreakdown::default();
+            for (_, _, a) in &offline {
+                offline_breakdown.add_flow(a);
+            }
+            assert_eq!(summary.breakdown, offline_breakdown, "{name}");
+            assert_eq!(summary.flows_eof + summary.flows_closed, n_flows as u64);
         }
-        // The aggregate mirrors the per-flow equality.
-        let mut offline_breakdown = tapo::StallBreakdown::default();
-        for a in offline.values() {
-            offline_breakdown.add_flow(a);
-        }
-        assert_eq!(summary.breakdown, offline_breakdown);
-        assert_eq!(summary.flows_eof + summary.flows_closed, 15);
     }
 }
 

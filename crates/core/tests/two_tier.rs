@@ -155,7 +155,11 @@ fn run_collect(
     tier: Option<TierConfig>,
 ) -> (live::LiveSummary, HashMap<FlowKey, FlowAnalysis>) {
     let summary = live::run(capture, &collect_config(tier), |_| {}).expect("live run succeeds");
-    let flows = summary.flows.iter().cloned().collect();
+    let flows = summary
+        .flows
+        .iter()
+        .map(|(key, _, a)| (*key, a.clone()))
+        .collect();
     (summary, flows)
 }
 

@@ -90,24 +90,6 @@ pub fn run_dataset_experiments(ds: &Dataset, out_dir: Option<&Path>) -> Vec<Stri
     rendered
 }
 
-/// The mechanism-comparison experiments (Tables 8 & 9), rendered.
-pub fn run_mechanism_experiments(scale: ComparisonScale, out_dir: Option<&Path>) -> Vec<String> {
-    let cmp = run_comparison(scale);
-    [
-        mechanism::table8(&cmp),
-        mechanism::table9(&cmp),
-        mechanism::large_flow_throughput(&cmp),
-    ]
-    .into_iter()
-    .map(|t| {
-        if let Some(dir) = out_dir {
-            let _ = t.write_csv(dir);
-        }
-        t.render()
-    })
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,8 +7,6 @@
 //! heavy-tailed distributions (flow sizes in the paper span five orders of
 //! magnitude); those are implemented here directly.
 
-use crate::time::SimDuration;
-
 /// Deterministic simulation RNG (xoshiro256++ with SplitMix64 seeding).
 /// Construct with [`SimRng::seed`]; derive stream-independent children with
 /// [`SimRng::fork`] so that adding a random draw in one component never
@@ -123,13 +121,6 @@ impl SimRng {
         let ha = hi.powf(alpha);
         // Inverse CDF of the bounded Pareto.
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
-    /// A random duration drawn from a lognormal in **seconds** with the given
-    /// median and a multiplicative spread `sigma` (σ of the log).
-    pub fn lognormal_duration(&mut self, median: SimDuration, sigma: f64) -> SimDuration {
-        let secs = self.lognormal(median.as_secs_f64().max(1e-9).ln(), sigma);
-        SimDuration::from_secs_f64(secs)
     }
 
     /// Draw an index `0..weights.len()` proportionally to `weights`.

@@ -312,11 +312,6 @@ impl Sender {
         self.app_avail == 0 && self.sb.is_empty()
     }
 
-    /// Bytes written by the application but not yet transmitted.
-    pub fn app_backlog(&self) -> u64 {
-        self.app_avail
-    }
-
     // ----------------------------------------------------- app interface
 
     /// Learn the peer's initial window (from its SYN).

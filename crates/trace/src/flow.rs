@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::record::{Direction, RecordSink, TraceRecord};
+use crate::record::{Direction, RecordSink, SegFlags, TraceRecord};
 use simnet::time::{SimDuration, SimTime};
 
 /// The canonical 4-tuple identifying a flow, oriented so that the *server*
@@ -132,6 +132,14 @@ impl RecordSink for FlowTrace {
     }
 }
 
+/// The 4-tuple reuse rule every flow demultiplexer shares (this module's
+/// [`FlowTable`], the pcap reader's sequence trackers, the live engines and
+/// the offline packet dump): a bare SYN on a key whose current flow is
+/// `closed` (a FIN or RST was seen) starts a new flow.
+pub fn reopens(closed: bool, flags: SegFlags) -> bool {
+    closed && flags.syn && !flags.ack
+}
+
 /// Reassembles an interleaved multi-flow capture into per-flow traces.
 ///
 /// Records must be offered in capture (time) order; flows are keyed by the
@@ -159,7 +167,7 @@ impl FlowTable {
     /// Offer one record belonging to `key`.
     pub fn push(&mut self, key: FlowKey, rec: TraceRecord) {
         let idx = match self.current.get(&key) {
-            Some(&i) if self.closed[i] && rec.flags.syn && !rec.flags.ack => {
+            Some(&i) if reopens(self.closed[i], rec.flags) => {
                 // Key reuse: the previous flow on this 4-tuple is closed and
                 // a new connection attempt arrived — rotate to a fresh flow.
                 let fresh = self.traces.len();

@@ -15,7 +15,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::flow::{FlowKey, FlowTable, FlowTrace};
+use crate::flow::{reopens, FlowKey, FlowTable, FlowTrace};
 use crate::record::{Direction, SackBlock, SackList, SegFlags, TraceRecord, SACK_CAP};
 use simnet::time::SimTime;
 
@@ -648,7 +648,7 @@ impl PcapReader {
         let mut trackers: std::collections::HashMap<FlowKey, SeqTracker> = Default::default();
         while let Some(pkt) = stream.next_packet()? {
             let tracker = trackers.entry(pkt.key).or_default();
-            if pkt.raw.flags.syn && !pkt.raw.flags.ack && table.is_closed(&pkt.key) {
+            if reopens(table.is_closed(&pkt.key), pkt.raw.flags) {
                 // Key reuse: the table rotates to a fresh flow, so the
                 // sequence state must forget the dead flow's anchors too.
                 tracker.reset();

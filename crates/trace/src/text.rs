@@ -3,7 +3,6 @@
 
 use std::fmt::Write as _;
 
-use crate::flow::FlowTrace;
 use crate::record::{Direction, TraceRecord};
 
 /// Render one record on one line, tcpdump-flavoured:
@@ -59,16 +58,6 @@ pub fn render_record(rec: &TraceRecord) -> String {
     s
 }
 
-/// Render a whole flow, one record per line.
-pub fn render_flow(trace: &FlowTrace) -> String {
-    let mut out = String::new();
-    for rec in &trace.records {
-        out.push_str(&render_record(rec));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,20 +101,5 @@ mod tests {
             !line.contains("ack 0 "),
             "bare SYN has no ack field: {line}"
         );
-    }
-
-    #[test]
-    fn renders_whole_flow_line_per_record() {
-        let mut trace = FlowTrace::default();
-        trace.push(TraceRecord::pure_ack(SimTime::ZERO, Direction::In, 0, 100));
-        trace.push(TraceRecord::data(
-            SimTime::from_millis(1),
-            Direction::Out,
-            0,
-            10,
-            0,
-            100,
-        ));
-        assert_eq!(render_flow(&trace).lines().count(), 2);
     }
 }
